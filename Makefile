@@ -5,7 +5,8 @@
 #   make check-full   fast tier + @exhaustive (every bfloat16/float16
 #                     input of the differential suite — including all five
 #                     standard rounding modes derived from the float34
-#                     round-to-odd table — RLIBM_EXHAUSTIVE=1)
+#                     round-to-odd table — and of the oracle's fast-phase
+#                     vs Ziv suite, RLIBM_EXHAUSTIVE=1)
 #   make bench-json   exact-arithmetic + generator benches, results
 #                     written to BENCH_<rev>.json (schema-v1 datafile)
 #   make bench-diff   markdown diff of two run datafiles:

@@ -316,6 +316,11 @@ let resolve_policy (policy : Rlibm.Verifier.policy) (g : G.generated) =
 let cfg_of_prog prog =
   if prog then Some { Rlibm.Config.default with progressive = true } else None
 
+(* What each oracle phase settled since [before], in this process. *)
+let print_phases before =
+  Format.printf "%a@." Oracle.Elementary.pp_phase_counts
+    Oracle.Elementary.(phase_diff (phase_counts ()) before)
+
 let sweep jobs quality prog mode tname fname stride chunk ckpt_every retries dir resume cache_dir
     verifier =
   set_jobs jobs;
@@ -362,6 +367,7 @@ let sweep jobs quality prog mode tname fname stride chunk ckpt_every retries dir
       Rlibm.Stats.pp_sweep Format.std_formatter p
     end
   in
+  let phases0 = Oracle.Elementary.phase_counts () in
   match
     Sweep.Engine.run ~dir ~identity ~n ~chunk_size:chunk ~max_retries:retries
       ~checkpoint_every:ckpt_every ~resume ~cache ~verify:counters ~progress f
@@ -416,6 +422,7 @@ let sweep jobs quality prog mode tname fname stride chunk ckpt_every retries dir
          %d miss, verifier %d fast / %d escalated\nreport: %s\ndatafile: %s\n%!"
         n nmis nq o.stats.retry_attempts o.stats.cache_hits o.stats.cache_misses
         (Sweep.Verify.fast counters) (Sweep.Verify.escalated counters) report datafile;
+      print_phases phases0;
       List.iter
         (fun (ci, lo, hi, msg) ->
           Printf.printf "  QUARANTINED chunk %d (points %d..%d): %s\n%!" ci lo (hi - 1) msg)
@@ -446,7 +453,7 @@ let campaign jobs quality prog mode tname fname stride chunk ckpt_every retries 
     Printf.sprintf "rlibm-campaign v1 target=%s func=%s mode=%s bits=%d stride=%d quality=%s"
       t.tname fname mode_s T.bits stride (quality_name quality)
   in
-  let finish ~tables_hash (o : Campaign.outcome) =
+  let finish ?phases ~tables_hash (o : Campaign.outcome) =
     let m = o.merged in
     let quarantined_items =
       Array.fold_left (fun a (lo, hi, _) -> a + (hi - lo)) 0 m.m_quarantined
@@ -464,6 +471,7 @@ let campaign jobs quality prog mode tname fname stride chunk ckpt_every retries 
       }
     in
     Rlibm.Stats.pp_campaign Format.std_formatter st;
+    Option.iter print_phases phases;
     (* The merged verdict as a datafile: the row is exactly
        Report.row_of_merged (so Datafile.campaign_text over it equals
        report.txt), plus the function/target/tables identity the binary
@@ -506,6 +514,7 @@ let campaign jobs quality prog mode tname fname stride chunk ckpt_every retries 
     let g = Funcs.Libm.get ~quality ?cfg:(cfg_of_prog prog) t fname in
     let policy = resolve_policy verifier g in
     let counters = Sweep.Verify.counters () in
+    let phases0 = Oracle.Elementary.phase_counts () in
     (* One cache file per shard: the append-only cache format is not
        safe for concurrent writer processes. *)
     let shard_cache shard =
@@ -581,6 +590,7 @@ let campaign jobs quality prog mode tname fname stride chunk ckpt_every retries 
                    escalated\ndatafile: %s\n%!"
                   s r.lo r.hi (Array.length r.mismatches) (Array.length r.quarantined) r.fast
                   r.escalated sdf;
+                print_phases phases0;
                 exit 0))
     | None -> (
         let exec = if workers <= 0 then Campaign.In_process else Campaign.Fork workers in
@@ -591,7 +601,11 @@ let campaign jobs quality prog mode tname fname stride chunk ckpt_every retries 
         | Error msg ->
             prerr_endline msg;
             exit 3
-        | Ok o -> finish ~tables_hash:(G.tables_fingerprint g) o)
+        | Ok o ->
+            (* Forked workers count their oracle calls in their own
+               processes; only an in-process run has them here. *)
+            let phases = if workers <= 0 then Some phases0 else None in
+            finish ?phases ~tables_hash:(G.tables_fingerprint g) o)
   end
 
 let table1_cmd =

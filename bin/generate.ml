@@ -62,6 +62,7 @@ let run_one (t : Funcs.Specs.target) quality ?cfg ~pass_stats ~emit name =
       emit name t wall g;
       if pass_stats then begin
         List.iter (Format.printf "%a" Rlibm.Stats.pp_pass) s.Rlibm.Stats.passes;
+        Format.printf "  %a@." Oracle.Elementary.pp_phase_counts s.Rlibm.Stats.oracle_phases;
         (match s.Rlibm.Stats.oracle_cache with
         | None -> ()
         | Some c ->

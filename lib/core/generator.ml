@@ -337,25 +337,27 @@ let generate ?(cfg = Config.default) (spec : Spec.t) ~patterns =
              ~mode:(Fp.Rounding_mode.to_string spec.mode))
   in
   (* Enumeration pass (Algorithm 1's oracle sweep), domain-parallel. *)
+  let round_double = T.of_double ~mode:spec.mode and round = T.round_rational ~mode:spec.mode in
   let deduce_one pat =
     match spec.special pat with
     | Some _ -> D_special
     | None -> (
         let y =
           Sweep.Oracle_cache.memo ocache pat (fun pat ->
-              Oracle.Elementary.correctly_rounded
-                ~round:(T.round_rational ~mode:spec.mode)
-                spec.oracle (T.to_rational pat))
+              Oracle.Elementary.correctly_rounded ~round_double ~round spec.oracle
+                (T.to_rational pat))
         in
         let interval = Rounding.interval spec.repr ~mode:spec.mode y in
         match Reduced.deduce spec ~pattern:pat ~interval with
         | Error (Reduced.Oracle_escapes p) -> D_escape p
         | Ok (_rr, cons) -> D_ok (pat, y, cons))
   in
+  let phases0 = Oracle.Elementary.phase_counts () in
   let chunks =
     Parallel.map_chunks ~n:(Array.length patterns) (fun ~lo ~hi ->
         Array.init (hi - lo) (fun k -> deduce_one patterns.(lo + k)))
   in
+  let oracle_phases = Oracle.Elementary.(phase_diff (phase_counts ()) phases0) in
   let oracle_pass =
     Option.map (Stats.pass_of_run ~name:"oracle") (Parallel.last_stats ())
   in
@@ -619,6 +621,7 @@ let generate ?(cfg = Config.default) (spec : Spec.t) ~patterns =
                     Some
                       (Stats.lp_of_counters ~warm_mode:cfg.lp_warm lp0 (Lp.Simplex.snapshot ()));
                   oracle_cache = cache_stats;
+                  oracle_phases;
                   prog = prog_stats;
                 };
             }

@@ -13,6 +13,9 @@ type t = {
   passes : pass list;  (* sharded phases, in execution order *)
   lp : lp option;  (* LP kernel work during this generation run *)
   oracle_cache : cache option;  (* persistent-oracle-cache traffic, if enabled *)
+  oracle_phases : Oracle.Elementary.phase_counts;
+      (* what each oracle phase settled during the enumeration pass: the
+         process-wide counter delta over the pass *)
   prog : prog option;  (* progressive-prefix coverage, when cfg.progressive *)
 }
 
@@ -117,6 +120,7 @@ let pp fmt t =
         c.cname c.n_constraints c.n_polynomials c.split_bits c.degree c.n_terms)
     t.per_component;
   List.iter (pp_pass fmt) t.passes;
+  Format.fprintf fmt "  %a@." Oracle.Elementary.pp_phase_counts t.oracle_phases;
   (match t.oracle_cache with
   | None -> ()
   | Some c ->

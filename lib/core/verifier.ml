@@ -127,19 +127,20 @@ let classify (g : G.generated) =
         done;
         (T.of_double ~mode (compensate rr v), !certified)
 
-(** Ground truth for one pattern: special-case analysis, else Ziv's
-    arbitrary-precision oracle (memoized through [cache] if given). *)
+(** Ground truth for one pattern: special-case analysis, else the
+    two-phase oracle (memoized through [cache] if given), rounding the
+    fast phase's enclosure at double level through the target's
+    [of_double]. *)
 let truth ?cache (g : G.generated) =
   let module T = (val g.spec.repr : Fp.Representation.S) in
   let spec = g.spec in
+  let round_double = T.of_double ~mode:spec.mode and round = T.round_rational ~mode:spec.mode in
   fun pat ->
     match spec.special pat with
     | Some y -> y
     | None ->
         Sweep.Oracle_cache.memo cache pat (fun pat ->
-            Oracle.Elementary.correctly_rounded
-              ~round:(T.round_rational ~mode:spec.mode)
-              spec.oracle (T.to_rational pat))
+            Oracle.Elementary.correctly_rounded ~round_double ~round spec.oracle (T.to_rational pat))
 
 type policy = [ `Auto | `Fast | `Oracle ]
 

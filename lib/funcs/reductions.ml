@@ -88,7 +88,8 @@ let exp_dom ~half_width =
 (* sinpi (§2): |x| = 2I + J; J = K + L; L' = L or 1-L; L' = N/512 + R. *)
 (*   sinpi(x) = S * (spn[N]*cospi(R) + cpn[N]*sinpi(R)),               *)
 (*   S = sign(x) * (-1)^K.                                             *)
-(* Components are ordered [sinpi_r; cospi_r] for this family.          *)
+(* Components are ordered [sinpi_r; cospi_r] for this family.  The key *)
+(* holds N, S (bit 9) and sign(x) (bit 10).                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Exact fractional decomposition of z >= 0 (z < 2^52): z mod 2 and its
@@ -109,13 +110,20 @@ let sinpi_reduce x =
   let n = Stdlib.min (Float.to_int (l' *. 512.0)) 255 in
   let r = l' -. (float_of_int n /. 512.0) in
   let s = sign0 * if k = 1 then -1 else 1 in
-  { S.r; key = n lor ((if s < 0 then 1 else 0) lsl 9) }
+  { S.r; key = n lor ((if s < 0 then 1 else 0) lsl 9) lor ((if sign0 < 0 then 1 else 0) lsl 10) }
 
+(* S * t computed as sign(x) * (K' cpn v0 + 0 + K' spn v1), K' = (-1)^K:
+   multiplying by +-1 is exact and adding +0 changes no nonzero value,
+   so every nonzero result is bit-identical to S * t, while a zero (an
+   integer x) becomes +0 before sign(x) signs it, as IEEE 754 requires
+   (sinPi(+-n) = +-0).  The +0 rides on the v0 term, off the v1 path. *)
 let sinpi_compensate rr (v : float array) =
   let n = rr.S.key land 0x1FF in
   let s = if rr.S.key land (1 lsl 9) <> 0 then -1.0 else 1.0 in
+  let sx = if rr.S.key land (1 lsl 10) <> 0 then -1.0 else 1.0 in
+  let k = s *. sx in
   let spn = (Parallel.Once.get Tables.sinpi_n).(n) and cpn = (Parallel.Once.get Tables.cospi_n).(n) in
-  s *. ((spn *. v.(1)) +. (cpn *. v.(0)))
+  sx *. (((k *. cpn *. v.(0)) +. 0.0) +. (k *. spn *. v.(1)))
 
 (* ------------------------------------------------------------------ *)
 (* cospi (§5): after folding to L' in [0, 1/2], write L' = N'/512 - R  *)

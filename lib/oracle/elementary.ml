@@ -4,7 +4,9 @@
    and keep series truncation below [2^(-wp-8)] relative, so the total
    relative error stays far below the [2^(12-prec)] margin that Ziv's
    loop assumes.  Inputs with rational function values return [Exact]:
-   those are the only points where interval refinement cannot terminate. *)
+   those are the only points where interval refinement cannot terminate.
+   A double-double fast phase (near the end of the file) settles most
+   calls before the loop runs. *)
 
 module B = Bigint
 module Q = Rational
@@ -497,22 +499,613 @@ let log1p ~prec r =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Fast first phase.                                                   *)
+(*                                                                     *)
+(* Ziv's strategy as CR-LIBM and CORE-MATH use it: evaluate f at a     *)
+(* double input in double-double arithmetic ({!Dd}) under a relative   *)
+(* error bound stated per core below, and round the two ends of the    *)
+(* enclosure.  Only when they round apart, or the input lies outside   *)
+(* the core's domain, does the Bigfloat loop run.  Each stated bound   *)
+(* is at least 2^9 times the sum of the error terms its comment        *)
+(* lists, so slack in the analysis cannot turn into a wrong answer.    *)
+(* ------------------------------------------------------------------ *)
+
+module D = Dd
+
+(* What a fast core knows about f(x): a value with a relative error
+   bound, or that f(x) is exactly zero (a case its exact reduction
+   recognizes, whose sign of zero is the caller's [round]'s to give). *)
+type approx = Near of D.t * float | Zero
+
+let dd_of_rational q =
+  let hi = Q.to_float q in
+  { D.hi; lo = Q.to_float (Q.sub q (Q.of_float hi)) }
+
+(* Table entries come from the Bigfloat functions above at 160 bits, so
+   each double-double entry is within 2^-105 of its value. *)
+let table_prec = 160
+let dd_of_big v = dd_of_rational (F.to_rational v)
+let dd_of_result = function Exact q -> dd_of_rational q | Approx v -> dd_of_big v
+
+(* 2/pi for the Payne–Hanek reduction: 16 bits per word, most
+   significant first, after [ph_pad] zero bits, so word k holds bits
+   16k - ph_pad + 1 .. 16k - ph_pad + 16 of the binary expansion
+   0.1010001011111001... of 2/pi.  [ph_words] words reach bit 1376, past
+   the deepest bit any input in the fast domain reads (~1200: exponent
+   970 plus eight 28-bit limbs). *)
+let ph_pad = 64
+let ph_words = 90
+let ph_bits = (16 * ph_words) - ph_pad
+
+let two_over_pi_words () =
+  let w = ph_bits + 64 in
+  (* Relative error below 2^(1-w): at most the last of the [ph_bits]
+     bits can be off, far below every bit the reduction reads. *)
+  let inv = F.div ~prec:w (F.of_int 2) (pi ~prec:w) in
+  let t = Q.floor (Q.mul_pow2 (F.to_rational inv) ph_bits) in
+  Array.init ph_words (fun k ->
+      B.to_int_exn (B.rem (B.shift_right t (16 * (ph_words - 1 - k))) (B.of_int 0x10000)))
+
+type tables = {
+  ln2 : D.t;
+  ln2_64 : D.t;  (* ln 2 / 64 *)
+  inv_ln2 : D.t;
+  inv_ln10 : D.t;
+  log10_2 : D.t;
+  ln10 : D.t;
+  pi_dd : D.t;
+  two_over_pi : D.t;
+  ln_c : D.t array;  (* ln (i/64), i in [48, 96] *)
+  exp2_j : D.t array;  (* 2^(j/64), j in [0, 63] *)
+  sinpi_n : D.t array;  (* sinpi (n/64), n in [0, 32] *)
+  cospi_n : D.t array;
+  exp_c : D.t array;  (* 1/k!, k in [0, 10] *)
+  sinh_c : D.t array;  (* 1/(2k+1)!, k in [0, 12]: sinh x / x in x^2 *)
+  sin_c : D.t array;  (* (-1)^k/(2k+1)!, k in [0, 6]: sin t / t in t^2 *)
+  cos_c : D.t array;  (* (-1)^k/(2k)!, k in [0, 6] *)
+  atanh_c : D.t array;  (* 1/(2k+1), k in [0, 6]: atanh z / z in z^2 *)
+  pio2_words : int array;
+}
+
+let rec fact k = if k <= 1 then B.one else B.mul_int (fact (k - 1)) k
+let inv_fact k = dd_of_rational (Q.make B.one (fact k))
+let alternate c = Array.mapi (fun k v -> if k land 1 = 0 then v else D.neg v) c
+
+let build_tables () =
+  let prec = table_prec in
+  let quo a b = dd_of_big (F.div ~prec a b) in
+  let at f q = dd_of_result (f ~prec q) in
+  {
+    ln2 = dd_of_big (ln2 ~prec);
+    ln2_64 = D.ldexp (dd_of_big (ln2 ~prec)) (-6);
+    inv_ln2 = quo F.one (ln2 ~prec);
+    inv_ln10 = quo F.one (ln10 ~prec);
+    log10_2 = quo (ln2 ~prec) (ln10 ~prec);
+    ln10 = dd_of_big (ln10 ~prec);
+    pi_dd = dd_of_big (pi ~prec);
+    two_over_pi = quo (F.of_int 2) (pi ~prec);
+    ln_c = Array.init 49 (fun k -> at ln (Q.of_ints (k + 48) 64));
+    exp2_j = Array.init 64 (fun j -> at exp2 (Q.of_ints j 64));
+    sinpi_n = Array.init 33 (fun n -> at sinpi (Q.of_ints n 64));
+    cospi_n = Array.init 33 (fun n -> at cospi (Q.of_ints n 64));
+    exp_c = Array.init 11 inv_fact;
+    sinh_c = Array.init 13 (fun k -> inv_fact ((2 * k) + 1));
+    sin_c = alternate (Array.init 7 (fun k -> inv_fact ((2 * k) + 1)));
+    cos_c = alternate (Array.init 7 (fun k -> inv_fact (2 * k)));
+    atanh_c = Array.init 7 (fun k -> dd_of_rational (Q.of_ints 1 ((2 * k) + 1)));
+    pio2_words = two_over_pi_words ();
+  }
+
+(* Built once per process, under a mutex, on the first fast-phase call:
+   the oracle runs on several domains at once. *)
+let fast_tables : tables option Atomic.t = Atomic.make None
+let fast_mu = Mutex.create ()
+
+let tables () =
+  match Atomic.get fast_tables with
+  | Some t -> t
+  | None ->
+      Mutex.protect fast_mu (fun () ->
+          match Atomic.get fast_tables with
+          | Some t -> t
+          | None ->
+              let t = build_tables () in
+              Atomic.set fast_tables (Some t);
+              t)
+
+let two_over_pi_bits n =
+  if n < 0 || n > ph_bits then invalid_arg "Elementary.two_over_pi_bits";
+  let all =
+    Array.fold_left (fun acc w -> B.add (B.shift_left acc 16) (B.of_int w)) B.zero (tables ()).pio2_words
+  in
+  B.shift_right all (ph_bits - n)
+
+(* ---- log core -------------------------------------------------------
+
+   x = 2^e m with m in [0.75, 1.5); c = i/64 nearest m (i in [48, 96]);
+   ln m = ln c + 2 atanh z with z = (m - c)/(m + c), |z| <= 2^-7.5.
+   m - c is exact (Sterbenz) and m + c an exact TwoSum.  Error terms,
+   relative: table 2^-105; z (one division) 2^-101; the atanh series
+   stops after z^12/13, leaving z^14/15 < 2^-108; 14 Horner operations
+   of at most 2^-101 each, on sums of condition number 1 + 2^-14.
+   ln c + 2 atanh z cancels by at most a factor 3 (|ln c| >= 2|2 atanh z|
+   whenever c <> 1), and e*C + (ln m)*C' by at most a factor 4
+   (|log2 m| <= 0.585 against |e| >= 1).  Total below 2^-94; stated
+   bound 2^-80. *)
+let log_bound = 0x1p-80
+
+let ln_mant t m =
+  let i = Float.to_int (Float.round (m *. 64.0)) in
+  let c = float_of_int i /. 64.0 in
+  let z = D.div (D.of_float (m -. c)) (D.two_sum m c) in
+  let a = D.mul z (D.horner t.atanh_c (D.mul z z)) in
+  D.add t.ln_c.(i - 48) (D.ldexp a 1)
+
+let split_log x =
+  let fr, ex = Float.frexp x in
+  if fr < 0.75 then (2.0 *. fr, ex - 1) else (fr, ex)
+
+let fast_ln t x =
+  if x <= 0.0 then None
+  else if x = 1.0 then Some Zero
+  else begin
+    let m, e = split_log x in
+    Some (Near (D.add (D.mul_float t.ln2 (float_of_int e)) (ln_mant t m), log_bound))
+  end
+
+let fast_log2 t x =
+  if x <= 0.0 then None
+  else if x = 1.0 then Some Zero
+  else begin
+    let m, e = split_log x in
+    Some (Near (D.add_float (D.mul (ln_mant t m) t.inv_ln2) (float_of_int e), log_bound))
+  end
+
+let fast_log10 t x =
+  if x <= 0.0 then None
+  else if x = 1.0 then Some Zero
+  else begin
+    let m, e = split_log x in
+    Some
+      (Near (D.add (D.mul_float t.log10_2 (float_of_int e)) (D.mul (ln_mant t m) t.inv_ln10), log_bound))
+  end
+
+(* The generator's log components: ln(1 + r) = 2 atanh(r/(2 + r)) for
+   |r| <= 2^-6 (the log family reduces to r in [0, 2^-7)), so |z| <=
+   2^-7.  2 + r is an exact TwoSum; the error terms are the log core's
+   without its table and cancellation, below 2^-97; stated bound 2^-80. *)
+let ln_1p_dd t r =
+  let z = D.div (D.of_float r) (D.two_sum 2.0 r) in
+  D.ldexp (D.mul z (D.horner t.atanh_c (D.mul z z))) 1
+
+let log_1p_core scale t r =
+  if Float.abs r > 0x1p-6 then None
+  else if r = 0.0 then Some Zero
+  else Some (Near (scale t (ln_1p_dd t r), log_bound))
+
+let fast_ln_1p = log_1p_core (fun _ v -> v)
+let fast_log2_1p = log_1p_core (fun t v -> D.mul v t.inv_ln2)
+let fast_log10_1p = log_1p_core (fun t v -> D.mul v t.inv_ln10)
+
+(* ---- exp core -------------------------------------------------------
+
+   f(x) = 2^k 2^(j/64) exp(r) with |r| <= (ln 2/128)(1 + 2^-40).  The
+   relative error of exp(r) is the absolute error of r.  Error terms: r
+   from x - N ln2/64 with both terms below 660 in magnitude, two
+   products and a subtraction, absolute 2^-93; Taylor stopped after
+   r^10/10!, 2^-107; 22 Horner operations on sums of condition number
+   1.02, 2^-96; table 2^-105; the final product 2^-101.  Total below
+   2^-92; stated bound 2^-80.  The domains keep every result inside
+   [2^-953, 2^953], where the low word stays normal. *)
+let exp_bound = 0x1p-80
+
+let exp_core t n r = D.ldexp (D.mul t.exp2_j.(n land 63) (D.horner t.exp_c r)) (n asr 6)
+let inv_ln2_64 = 64.0 /. Float.log 2.0
+
+let exp_of t x =
+  let n = Float.to_int (Float.round (x *. inv_ln2_64)) in
+  exp_core t n (D.sub (D.of_float x) (D.mul_float t.ln2_64 (float_of_int n)))
+
+let fast_exp t x = if Float.abs x <= 660.0 then Some (Near (exp_of t x, exp_bound)) else None
+
+let fast_exp2 t x =
+  if Float.abs x <= 950.0 then begin
+    let n = Float.to_int (Float.round (x *. 64.0)) in
+    (* Exact: both terms are multiples of min(ulp x, 2^-6) and differ by
+       at most 2^-7. *)
+    let f = x -. (float_of_int n /. 64.0) in
+    Some (Near (exp_core t n (D.mul_float t.ln2 f), exp_bound))
+  end
+  else None
+
+let fast_exp10 t x =
+  if Float.abs x <= 285.0 then begin
+    let n = Float.to_int (Float.round (x *. (64.0 *. 3.321928094887362))) in
+    let r = D.sub (D.mul_float t.ln10 x) (D.mul_float t.ln2_64 (float_of_int n)) in
+    Some (Near (exp_core t n r, exp_bound))
+  end
+  else None
+
+(* sinh and cosh from E = exp|x|: cosh = (E + 1/E)/2 adds positive terms;
+   sinh = (E - 1/E)/2 for |x| >= 1/2 cancels by at most coth(1/2) < 2.2.
+   Below 1/2, sinh x = x (1 + x^2/3! + ... + x^24/25!), truncation
+   2^-107.  Each is within 2^-89 of its value; stated bound 2^-80. *)
+let fast_sinh t x =
+  let a = Float.abs x in
+  if a > 660.0 then None
+  else if a = 0.0 then Some Zero
+  else begin
+    let v =
+      if a < 0.5 then D.mul_float (D.horner t.sinh_c (D.two_prod a a)) a
+      else begin
+        let e = exp_of t a in
+        D.ldexp (D.sub e (D.div (D.of_float 1.0) e)) (-1)
+      end
+    in
+    Some (Near ((if x < 0.0 then D.neg v else v), exp_bound))
+  end
+
+let fast_cosh t x =
+  let a = Float.abs x in
+  if a > 660.0 then None
+  else begin
+    let e = exp_of t a in
+    Some (Near (D.ldexp (D.add e (D.div (D.of_float 1.0) e)) (-1), exp_bound))
+  end
+
+(* ---- sinpi/cospi core -----------------------------------------------
+
+   For l = lh + ll in [0, 1/2]: l = n/64 + rho with |rho| <= 2^-7,
+   theta = pi rho, and the angle sums
+     sinpi l = S_n cos theta + C_n sin theta,
+     cospi l = C_n cos theta - S_n sin theta.
+   Error terms: theta 2^-102; each Taylor series (to theta^13/13! and
+   theta^12/12!) stops below 2^-111, and its 14 Horner operations add
+   2^-97; tables 2^-105.  Neither sum cancels by more than a factor 3
+   (the worst cases are n = 1 for sinpi and n = 31 for cospi; n = 32
+   has C_n = 0 exactly).  Each result is within 2^-93 of its value;
+   stated bound 2^-80. *)
+let sincospi_bound = 0x1p-80
+
+let sincospi t (l : D.t) =
+  let n = Float.to_int (Float.round (l.hi *. 64.0)) in
+  (* Exact, as in fast_exp2. *)
+  let rho = D.add_float (D.of_float l.lo) (l.hi -. (float_of_int n /. 64.0)) in
+  let th = D.mul t.pi_dd rho in
+  let th2 = D.mul th th in
+  let s = D.mul th (D.horner t.sin_c th2) and c = D.horner t.cos_c th2 in
+  let sn = t.sinpi_n.(n) and cn = t.cospi_n.(n) in
+  (D.add (D.mul sn c) (D.mul cn s), D.sub (D.mul cn c) (D.mul sn s))
+
+(* z = 2i + k + l with k in {0, 1} and l in [0, 1), all exact for
+   0 <= z < 2^52. *)
+let mod2_split z =
+  let j = z -. (2.0 *. Float.floor (z /. 2.0)) in
+  if j >= 1.0 then (1, j -. 1.0) else (0, j)
+
+let fast_sinpi t x =
+  let z = Float.abs x in
+  if z >= 0x1p52 then None
+  else begin
+    let k, l = mod2_split z in
+    if l = 0.0 then Some Zero
+    else begin
+      let s, _ = sincospi t (D.of_float (if l > 0.5 then 1.0 -. l else l)) in
+      Some (Near ((if x < 0.0 <> (k = 1) then D.neg s else s), sincospi_bound))
+    end
+  end
+
+let fast_cospi t x =
+  let z = Float.abs x in
+  if z >= 0x1p52 then None
+  else begin
+    let k, l = mod2_split z in
+    if l = 0.5 then Some Zero
+    else begin
+      let mirror = l > 0.5 in
+      let _, c = sincospi t (D.of_float (if mirror then 1.0 -. l else l)) in
+      Some (Near ((if (k = 1) <> mirror then D.neg c else c), sincospi_bound))
+    end
+  end
+
+(* ---- sin/cos/tan core -----------------------------------------------
+
+   Reduce a = |x| to a (2/pi) = q + f (mod 4) with f in [-1/2, 1/2];
+   then sin a and cos a are +-sinpi(|f|/2) or +-cospi(|f|/2) by quadrant.
+
+   For a <= 1/2, q = 0 and f = a (2/pi) in double-double (2^-102).
+
+   Otherwise a fixed-point Payne–Hanek reduction: a = m 2^e with m a
+   53-bit integer; bits of 2/pi whose product weight 2^(e-i) is 4 or more
+   contribute multiples of 4 and are skipped.  Eight 28-bit limbs of 2/pi
+   from bit e - 1 on, against m split as mh 2^28 + ml, give column sums
+   below 2^57 in native ints.  The dropped products leave an absolute
+   error below 2^-165 on f; converting f's 194 bits to double-double
+   adds a relative 2^-101.  The sinpi/cospi core adds its 2^-80, tan's
+   quotient 2^-101, and an absolute error d on f is a relative error of
+   at most 2d/|f| on every result.  Stated bound: 2^-79 + 2^-150/|f|,
+   computed at run time from the actual f. *)
+let ph_limbs = 7
+
+(* The 28-bit window of 2/pi whose most significant bit is bit [i]. *)
+let limb w i =
+  let p = i + ph_pad - 1 in
+  let a = p lsr 4 and o = p land 15 in
+  let w48 = (w.(a) lsl 32) lor (w.(a + 1) lsl 16) lor w.(a + 2) in
+  (w48 lsr (20 - o)) land 0xFFFFFFF
+
+let payne_hanek t a =
+  let fr, ex = Float.frexp a in
+  let m = Float.to_int (Float.ldexp fr 53) in
+  let e = ex - 53 in
+  let mh = m lsr 28 and ml = m land 0xFFFFFFF in
+  let w = t.pio2_words in
+  (* col.(c) has weight 2^(-26 - 28c); mh * limb_0 lands at weight 4
+     and is dropped. *)
+  let col = Array.make ph_limbs 0 in
+  let prev = ref (limb w (e - 1)) in
+  for c = 0 to ph_limbs - 1 do
+    let next = limb w (e - 1 + (28 * (c + 1))) in
+    col.(c) <- (ml * !prev) + (mh * next);
+    prev := next
+  done;
+  for c = ph_limbs - 1 downto 1 do
+    col.(c - 1) <- col.(c - 1) + (col.(c) lsr 28);
+    col.(c) <- col.(c) land 0xFFFFFFF
+  done;
+  let q = (col.(0) lsr 26) land 3 in
+  col.(0) <- col.(0) land 0x3FFFFFF;
+  (* A fraction of 1/2 or more becomes its complement, negated, against
+     the next quadrant. *)
+  let q, neg =
+    if col.(0) land 0x2000000 = 0 then (q, false)
+    else begin
+      col.(0) <- col.(0) lxor 0x3FFFFFF;
+      for c = 1 to ph_limbs - 1 do
+        col.(c) <- col.(c) lxor 0xFFFFFFF
+      done;
+      let c = ref (ph_limbs - 1) in
+      col.(!c) <- col.(!c) + 1;
+      while !c > 0 && col.(!c) > 0xFFFFFFF do
+        col.(!c) <- col.(!c) land 0xFFFFFFF;
+        decr c;
+        col.(!c) <- col.(!c) + 1
+      done;
+      ((q + 1) land 3, true)
+    end
+  in
+  let f = ref D.zero in
+  for c = ph_limbs - 1 downto 0 do
+    f := D.add_float !f (Float.ldexp (float_of_int col.(c)) (-26 - (28 * c)))
+  done;
+  (q, if neg then D.neg !f else !f)
+
+(* (sin |x|, cos |x|, relative bound), or None when f vanished. *)
+let trig t x =
+  let a = Float.abs x in
+  let q, f, bound =
+    if a <= 0.5 then (0, D.mul_float t.two_over_pi a, 0x1p-79)
+    else begin
+      let q, f = payne_hanek t a in
+      (q, f, 0x1p-79 +. (0x1p-150 /. Float.abs f.hi))
+    end
+  in
+  if f.hi = 0.0 then None
+  else begin
+    let s, c = sincospi t (D.ldexp (D.abs f) (-1)) in
+    let s = if f.hi < 0.0 then D.neg s else s in
+    Some
+      (match q with
+      | 0 -> (s, c, bound)
+      | 1 -> (c, D.neg s, bound)
+      | 2 -> (D.neg s, D.neg c, bound)
+      | _ -> (D.neg c, s, bound))
+  end
+
+let odd x v = if x < 0.0 then D.neg v else v
+
+let fast_sin t x = Option.map (fun (s, _, b) -> Near (odd x s, b)) (trig t x)
+let fast_cos t x = Option.map (fun (_, c, b) -> Near (c, b)) (trig t x)
+let fast_tan t x = Option.map (fun (s, c, b) -> Near (odd x (D.div s c), b)) (trig t x)
+
+(* The functions with a fast phase, matched by physical identity: any
+   other [fn] — a wrapper around one of these included — runs Ziv's loop
+   directly.  tanh, expm1 and log1p have none. *)
+let fast_cores : (fn * (tables -> float -> approx option)) list =
+  [
+    (ln, fast_ln);
+    (log2, fast_log2);
+    (log10, fast_log10);
+    (ln_1p, fast_ln_1p);
+    (log2_1p, fast_log2_1p);
+    (log10_1p, fast_log10_1p);
+    (exp, fast_exp);
+    (exp2, fast_exp2);
+    (exp10, fast_exp10);
+    (sinh, fast_sinh);
+    (cosh, fast_cosh);
+    (sinpi, fast_sinpi);
+    (cospi, fast_cospi);
+    (sin, fast_sin);
+    (cos, fast_cos);
+    (tan, fast_tan);
+  ]
+
+(* The double equal to [x], when [x] is zero or a double of magnitude
+   in [2^-900, 2^1000]: the range every core's analysis assumes (TwoProd
+   and the low words stay clear of underflow). *)
+let double_of_q x =
+  let n = Q.num x and d = Q.den x in
+  if B.is_zero n then Some 0.0
+  else if not (B.is_pow2 d) then None
+  else begin
+    let tz = if B.equal d B.one then B.trailing_zeros n else 0 in
+    if B.bit_length n - tz > 53 then None
+    else begin
+      let v = Float.ldexp (B.to_float n) (1 - B.bit_length d) in
+      let a = Float.abs v in
+      if a >= 0x1p-900 && a <= 0x1p1000 then Some v else None
+    end
+  end
+
+(* What the fast phase knows about f x: [Near (v, err)] with
+   |f(x) - v| <= err (the bound turns absolute here), or [Zero].  A
+   [Near] value must lie well inside the normal range; one that does not
+   goes to Ziv's loop. *)
+let enclose core x =
+  match double_of_q x with
+  | None -> None
+  | Some xd -> (
+      match core (tables ()) xd with
+      | Some Zero -> Some Zero
+      | Some (Near ((v : D.t), rel))
+        when Float.abs v.hi >= 0x1p-960 && Float.abs v.hi <= 0x1p1020 && rel < 0.25 ->
+          (* |v| <= |v.hi| (1 + 2^-52), so 2 rel |v.hi| covers rel |v|;
+             rel < 1/4 keeps zero, and a sign change, out of it. *)
+          Some (Near (v, 2.0 *. rel *. Float.abs v.hi))
+      | _ -> None)
+
+let fast_enclosure (f : fn) x =
+  match List.assq_opt f fast_cores with
+  | None -> None
+  | Some core ->
+      Option.map
+        (function
+          | Zero -> (Q.zero, Q.zero)
+          | Near ((v : D.t), err) ->
+              let q = Q.add (Q.of_float v.hi) (Q.of_float v.lo) and e = Q.of_float err in
+              (Q.sub q e, Q.add q e))
+        (enclose core x)
+
+(* ---- phase counters ------------------------------------------------ *)
+
+let max_steps = 12
+
+type dcounts = {
+  mutable n_fast : int;
+  mutable n_escalated : int;
+  mutable n_direct : int;
+  steps : int array;  (* Ziv runs by the number of precisions tried *)
+}
+
+let fresh_counts () =
+  { n_fast = 0; n_escalated = 0; n_direct = 0; steps = Array.make max_steps 0 }
+
+(* Records of the live domains, and the sum over the domains that have
+   exited, all under [registry_mu]. *)
+let registry : dcounts list ref = ref []
+let retired = fresh_counts ()
+let registry_mu = Mutex.create ()
+
+(* One record per domain, registered when the domain first calls the
+   oracle and folded into [retired] when it exits (worker pools spawn
+   domains per pass, so the list must not grow with them): the hot path
+   bumps plain fields of its own domain's record and touches no shared
+   state. *)
+let counts_key =
+  Domain.DLS.new_key (fun () ->
+      let c = fresh_counts () in
+      Mutex.protect registry_mu (fun () -> registry := c :: !registry);
+      Domain.at_exit (fun () ->
+          Mutex.protect registry_mu (fun () ->
+              registry := List.filter (fun d -> d != c) !registry;
+              retired.n_fast <- retired.n_fast + c.n_fast;
+              retired.n_escalated <- retired.n_escalated + c.n_escalated;
+              retired.n_direct <- retired.n_direct + c.n_direct;
+              Array.iteri (fun i v -> retired.steps.(i) <- retired.steps.(i) + v) c.steps));
+      c)
+
+type phase_counts = { fast : int; escalated : int; ziv_only : int; ziv_steps : int array }
+
+let phase_counts () =
+  Mutex.protect registry_mu (fun () ->
+      List.fold_left
+        (fun acc c ->
+          {
+            fast = acc.fast + c.n_fast;
+            escalated = acc.escalated + c.n_escalated;
+            ziv_only = acc.ziv_only + c.n_direct;
+            ziv_steps = Array.mapi (fun i v -> v + c.steps.(i)) acc.ziv_steps;
+          })
+        {
+          fast = retired.n_fast;
+          escalated = retired.n_escalated;
+          ziv_only = retired.n_direct;
+          ziv_steps = Array.copy retired.steps;
+        }
+        !registry)
+
+let phase_diff a b =
+  {
+    fast = a.fast - b.fast;
+    escalated = a.escalated - b.escalated;
+    ziv_only = a.ziv_only - b.ziv_only;
+    ziv_steps = Array.mapi (fun i v -> v - b.ziv_steps.(i)) a.ziv_steps;
+  }
+
+let pp_phase_counts fmt p =
+  let tried = p.fast + p.escalated in
+  Format.fprintf fmt "oracle %d fast / %d escalated (%.3f%% fast), %d Ziv-only" p.fast p.escalated
+    (if tried = 0 then 100.0 else 100.0 *. float_of_int p.fast /. float_of_int tried)
+    p.ziv_only;
+  Array.iteri (fun i n -> if n > 0 then Format.fprintf fmt ", %d at %d bits" n (80 lsl i)) p.ziv_steps
+
+(* ------------------------------------------------------------------ *)
 (* Ziv's strategy.                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let correctly_rounded ?(init_prec = 80) ~round (f : fn) x =
-  let rec go prec =
+let ziv ~init_prec ~round (f : fn) x =
+  let settled step y =
+    let c = Domain.DLS.get counts_key in
+    let i = Stdlib.min step (max_steps - 1) in
+    c.steps.(i) <- c.steps.(i) + 1;
+    y
+  in
+  let rec go prec step =
     if prec > 1 lsl 16 then failwith "Elementary.correctly_rounded: Ziv loop did not converge";
     match f ~prec x with
-    | Exact q -> round q
+    | Exact q -> settled step (round q)
     | Approx y ->
         let qy = F.to_rational y in
         let margin = Rational.abs (Q.mul_pow2 qy (12 - prec)) in
         let lo = Q.sub qy margin and hi = Q.add qy margin in
         let rlo = round lo and rhi = round hi in
-        if rlo = rhi then rlo else go (prec * 2)
+        if rlo = rhi then settled step rlo else go (prec * 2) (step + 1)
   in
-  go init_prec
+  go init_prec 0
+
+(* The fast phase's verdict.  On an enclosure [v - err, v + err]: first
+   the two doubles just outside it, through [round_double] (no rational
+   arithmetic at all) or else [round] of their exact values; then, when
+   those round apart, the double-double ends themselves, as rationals,
+   which settles most round-to-double callers too.  An exact zero rounds
+   as Ziv's loop rounds its [Exact] zero. *)
+let settle ?round_double ~round = function
+  | Zero -> Some (round Q.zero)
+  | Near ((v : D.t), err) ->
+      let rd = match round_double with Some rd -> rd | None -> fun d -> round (Q.of_float d) in
+      let ra = rd (Float.pred (v.hi +. (v.lo -. err))) in
+      if ra = rd (Float.succ (v.hi +. (v.lo +. err))) then Some ra
+      else begin
+        let h = Q.of_float v.hi in
+        let ra = round (Q.add h (Q.of_float (Float.pred (v.lo -. err)))) in
+        if ra = round (Q.add h (Q.of_float (Float.succ (v.lo +. err)))) then Some ra else None
+      end
+
+let correctly_rounded ?(init_prec = 80) ?round_double ~round (f : fn) x =
+  let c = Domain.DLS.get counts_key in
+  match List.assq_opt f fast_cores with
+  | None ->
+      c.n_direct <- c.n_direct + 1;
+      ziv ~init_prec ~round f x
+  | Some core -> (
+      match Option.bind (enclose core x) (settle ?round_double ~round) with
+      | Some y ->
+          c.n_fast <- c.n_fast + 1;
+          y
+      | None ->
+          c.n_escalated <- c.n_escalated + 1;
+          ziv ~init_prec ~round f x)
 
 let to_double f x = correctly_rounded ~round:Q.to_float f x
 

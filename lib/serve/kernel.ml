@@ -347,7 +347,7 @@ let stage1 (p : plan) (s : float array) pat =
           let n = if n0 > 255 then 255 else n0 in
           s.(0) <- l' -. (float_of_int n /. 512.0);
           let sneg = x < 0.0 <> (k = 1) in
-          n lor ((if sneg then 1 else 0) lsl 9)
+          n lor ((if sneg then 1 else 0) lsl 9) lor ((if x < 0.0 then 1 else 0) lsl 10)
       | Cospi _ ->
           (* Reductions.cospi_reduce (§5's non-negative-table redesign). *)
           let z = Float.abs x in
@@ -469,12 +469,15 @@ let compose (p : plan) (s : float array) aux =
       let w = pw *. (Array.unsafe_get f.t2 j *. Array.unsafe_get s 1) in
       Array.unsafe_set s 3 (sgn *. ((w -. 1.0) /. (w +. 1.0)))
   | Sinpi f ->
+      (* Reductions.sinpi_compensate: a zero carries the sign of x. *)
       let n = aux land 0x1FF in
       let sgn = if aux land (1 lsl 9) <> 0 then -1.0 else 1.0 in
+      let sx = if aux land (1 lsl 10) <> 0 then -1.0 else 1.0 in
+      let k = sgn *. sx in
       Array.unsafe_set s 3
-        (sgn
-        *. ((Array.unsafe_get f.spn n *. Array.unsafe_get s 2)
-           +. (Array.unsafe_get f.cpn n *. Array.unsafe_get s 1)))
+        (sx
+        *. ((k *. Array.unsafe_get f.cpn n *. Array.unsafe_get s 1) +. 0.0
+           +. (k *. Array.unsafe_get f.spn n *. Array.unsafe_get s 2)))
   | Cospi f ->
       let n' = aux land 0x1FF in
       let sgn = if aux land (1 lsl 9) <> 0 then -1.0 else 1.0 in

@@ -65,13 +65,16 @@ let quarantined t =
 let magic = "RLSWEEP\x01"
 let version = 1
 
-(* FNV-1a over a Buffer prefix; 63-bit so it round-trips through int. *)
-let fnv (b : Buffer.t) =
-  let h = ref 0x0cbf29ce84222325 in
+(* FNV-1a over a Buffer prefix, continuing from [h]; 63-bit (after the
+   final mask) so it round-trips through int. *)
+let fnv_init = 0x0cbf29ce84222325
+
+let fnv ?(h = fnv_init) (b : Buffer.t) =
+  let h = ref h in
   for i = 0 to Buffer.length b - 1 do
     h := (!h lxor Char.code (Buffer.nth b i)) * 0x100000001b3
   done;
-  !h land max_int
+  !h
 
 let add_int b v = Buffer.add_int64_le b (Int64.of_int v)
 
@@ -79,8 +82,19 @@ let add_str b s =
   add_int b (String.length s);
   Buffer.add_string b s
 
-let encode t =
-  let b = Buffer.create 4096 in
+(* The encoding, handed to [write] a few hundred bytes at a time with the
+   checksum folded in as it goes: {!save} streams it straight to the
+   file, so a checkpoint never holds a heap buffer the size of the file
+   (the sweep engine saves after every batch). *)
+let encode_to (write : Buffer.t -> unit) t =
+  let b = Buffer.create 512 in
+  let h = ref fnv_init in
+  let flush () =
+    h := fnv ~h:!h b;
+    write b;
+    Buffer.clear b
+  in
+  let spill () = if Buffer.length b >= 256 then flush () in
   Buffer.add_string b magic;
   add_int b version;
   add_str b t.identity;
@@ -89,9 +103,15 @@ let encode t =
   let nc = Array.length t.state in
   add_int b nc;
   Array.iter
-    (fun s -> Buffer.add_char b (match s with Pending -> '\x00' | Done -> '\x01' | Quarantined -> '\x02'))
+    (fun s ->
+      Buffer.add_char b (match s with Pending -> '\x00' | Done -> '\x01' | Quarantined -> '\x02');
+      spill ())
     t.state;
-  Array.iter (fun r -> add_int b r) t.retries;
+  Array.iter
+    (fun r ->
+      add_int b r;
+      spill ())
+    t.retries;
   Array.iter
     (fun ms ->
       add_int b (Array.length ms);
@@ -99,12 +119,24 @@ let encode t =
         (fun m ->
           add_int b m.pattern;
           add_int b m.got;
-          add_int b m.want)
-        ms)
+          add_int b m.want;
+          spill ())
+        ms;
+      spill ())
     t.mismatches;
-  Array.iter (fun e -> add_str b e) t.errors;
-  add_int b (fnv b);
-  Buffer.contents b
+  Array.iter
+    (fun e ->
+      add_str b e;
+      spill ())
+    t.errors;
+  flush ();
+  add_int b (!h land max_int);
+  write b
+
+let encode t =
+  let out = Buffer.create 4096 in
+  encode_to (Buffer.add_buffer out) t;
+  Buffer.contents out
 
 (* Cursor-based decoding; every read is bounds-checked so a truncated
    file fails cleanly rather than raising out of [String.get]. *)
@@ -166,7 +198,7 @@ let decode (s : string) : (t, string) result =
     if !pos <> len then raise (Bad "trailing garbage");
     let b = Buffer.create body_end in
     Buffer.add_substring b s 0 body_end;
-    if fnv b <> sum then raise (Bad "checksum mismatch (corrupted checkpoint)");
+    if fnv b land max_int <> sum then raise (Bad "checksum mismatch (corrupted checkpoint)");
     Ok { identity; n_items; chunk_size; state; retries; mismatches; errors }
   with Bad msg -> Error ("checkpoint: " ^ msg)
 
@@ -177,7 +209,7 @@ let decode (s : string) : (t, string) result =
 let save ~path t =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
-  output_string oc (encode t);
+  encode_to (Buffer.output_buffer oc) t;
   close_out oc;
   Sys.rename tmp path
 

@@ -258,6 +258,43 @@ let test_payne_hanek () =
     (adversarial_inputs ())
 
 (* ------------------------------------------------------------------ *)
+(* 4. sinpi at integers below trig_int: a zero with the input's sign.  *)
+(* ------------------------------------------------------------------ *)
+
+(* Integers below [trig_int] are not special cases: they run the
+   reduction and the output compensation, in the scalar library and in
+   the serving kernel, and both must return +0 for a positive and -0 for
+   a negative integer (IEEE 754 sinPi(+-n) = +-0).  Patterns, not
+   values: a +0/-0 swap is invisible to value equality. *)
+let sinpi_integer_zeros ?quality (t : Specs.target) pats () =
+  let module T = (val t.repr) in
+  let g = Funcs.Libm.get ?quality t "sinpi" in
+  let p = Option.get (Funcs.Kernels.of_generated g) in
+  let s = Serve.Kernel.scratch () in
+  let sign_bit = 1 lsl (T.bits - 1) in
+  let seen = ref 0 in
+  Array.iter
+    (fun pat ->
+      let x = T.to_double pat in
+      if T.classify pat = Repr.Finite && x <> 0.0 && Float.is_integer x && Float.abs x < t.trig_int
+      then begin
+        incr seen;
+        let want = if x < 0.0 then sign_bit else 0 in
+        let lib = Rlibm.Generator.eval_pattern g pat and ker = Serve.Kernel.eval p s pat in
+        if lib <> want || ker <> want then
+          Alcotest.failf "%s sinpi(%h): library %#x, kernel %#x, want %#x" t.tname x lib ker want
+      end)
+    pats;
+  Alcotest.(check bool) "integers below trig_int reached" true (!seen > 0)
+
+(* Every float32 integer 1..1000, then a stride through [1, 2^23), both
+   signs. *)
+let float32_integers =
+  let module T = Fp.Fp32 in
+  let ns = List.init 1000 (fun i -> i + 1) @ List.init 8400 (fun k -> 1001 + (k * 997)) in
+  Array.of_list (List.concat_map (fun n -> [ T.of_double (float_of_int n); T.of_double (-.float_of_int n) ]) ns)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "specs"
@@ -272,6 +309,15 @@ let () =
           Alcotest.test_case "bfloat16" `Quick (ieee16_trig_specials Specs.bfloat16);
           Alcotest.test_case "float16" `Quick (ieee16_trig_specials Specs.float16);
           Alcotest.test_case "posit16" `Quick posit16_trig_specials;
+        ] );
+      ( "sinpi-integer-zeros",
+        [
+          Alcotest.test_case "float32 (strided)" `Quick
+            (sinpi_integer_zeros ~quality:Funcs.Libm.Quick Specs.float32 float32_integers);
+          Alcotest.test_case "bfloat16 (exhaustive)" `Quick
+            (sinpi_integer_zeros Specs.bfloat16 (Array.init 65536 Fun.id));
+          Alcotest.test_case "float16 (exhaustive)" `Quick
+            (sinpi_integer_zeros Specs.float16 (Array.init 65536 Fun.id));
         ] );
       ( "payne-hanek",
         [ Alcotest.test_case "adversarial reduction differential" `Quick test_payne_hanek ] );
