@@ -7,8 +7,10 @@
 #                     standard rounding modes derived from the float34
 #                     round-to-odd table — and of the oracle's fast-phase
 #                     vs Ziv suite, RLIBM_EXHAUSTIVE=1)
-#   make bench-json   exact-arithmetic + generator benches, results
-#                     written to BENCH_<rev>.json (schema-v1 datafile)
+#   make bench-json   the sections CI's bench gate runs (exact arithmetic,
+#                     LP, generator, rounding, sweep, campaign, serving,
+#                     progressive tiers), results written to
+#                     BENCH_<rev>.json (schema-v1 datafile)
 #   make bench-diff   markdown diff of two run datafiles:
 #                     make bench-diff BASE=BENCH_old.json CURR=BENCH_new.json
 #
@@ -31,7 +33,7 @@ bench: build
 	dune exec bench/main.exe
 
 bench-json: build
-	dune exec bench/main.exe -- --json bigint rational lp gen round sweep campaign serve
+	dune exec bench/main.exe -- --json bigint rational lp gen round sweep campaign serve prog
 
 bench-diff: build
 	dune exec bin/report.exe -- datafile-diff $(BASE) $(CURR)

@@ -623,36 +623,16 @@ let rational () =
   Printf.printf "make (gcd normalization):  %10.0f ns\n%!" t_make
 
 (* ------------------------------------------------------------------ *)
-(* LP kernel microbenchmarks: revised simplex vs the retained dense     *)
-(* tableau, and warm-started growth vs cold re-solves (the Algorithm-4  *)
-(* access pattern).                                                     *)
+(* LP kernel microbenchmarks: revised simplex vs the dense tableau      *)
+(* reference, and warm-started growth vs cold re-solves (the            *)
+(* Algorithm-4 access pattern), on Test_util.lp_system's degree-4      *)
+(* tube fits.                                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* Polyfit-shaped system: bound a degree-4 polynomial within a +-1e-4
-   tube around log2 at quasi-random points of [1,2).  Points are drawn
-   from a fixed low-discrepancy sequence so [lp_system m] is a prefix of
-   [lp_system m'] for m < m' — the warm-grow workload below relies on
-   appending exactly the rows the cold re-solves see. *)
-let lp_system m =
-  let nt = 5 in
-  let q = Rational.of_float in
-  let point i = 1.0 +. Float.rem (float_of_int (i + 1) *. 0.618033988749895) 1.0 in
-  let rows = Array.make m [||] and rhs = Array.make m Rational.zero in
-  for i = 0 to (m / 2) - 1 do
-    let r = point i in
-    let pow = Array.init nt (fun k -> Float.pow r (float_of_int k)) in
-    let y = Float.log2 r in
-    rows.(2 * i) <- Array.map q pow;
-    rhs.(2 * i) <- q (y +. 1e-4);
-    rows.((2 * i) + 1) <- Array.map (fun p -> q (-.p)) pow;
-    rhs.((2 * i) + 1) <- q (-.(y -. 1e-4))
-  done;
-  (rows, rhs)
 
 let lp () =
   pr_header "LP: revised simplex vs dense tableau; warm-started growth (degree-4 tube fit)";
-  let a, b = lp_system 64 in
-  let t_dense = measure_ns (Staged.stage (fun () -> Lp.Simplex.feasible_reference ~a ~b)) in
+  let a, b = Test_util.lp_system 64 in
+  let t_dense = measure_ns (Staged.stage (fun () -> Test_util.Ref_simplex.feasible ~a ~b)) in
   let t_rev = measure_ns (Staged.stage (fun () -> Lp.Simplex.feasible ~a ~b)) in
   record "lp.dense_solve_ns" t_dense;
   record "lp.revised_solve_ns" t_rev;
@@ -666,14 +646,14 @@ let lp () =
   let cold_grow () =
     let ok = ref 0 in
     for k = 1 to rounds do
-      let a, b = lp_system (k * step) in
+      let a, b = Test_util.lp_system (k * step) in
       match Lp.Simplex.feasible ~a ~b with Lp.Simplex.Feasible _ -> incr ok | _ -> ()
     done;
     !ok
   in
   let warm_grow () =
     let st = Lp.Simplex.create ~nv:5 in
-    let a, b = lp_system (rounds * step) in
+    let a, b = Test_util.lp_system (rounds * step) in
     let ok = ref 0 in
     for k = 1 to rounds do
       for i = (k - 1) * step to (k * step) - 1 do

@@ -68,15 +68,7 @@ let run_one (t : Funcs.Specs.target) quality ?cfg ~pass_stats ~emit name =
         | Some c ->
             Format.printf "  oracle cache: %d hits, %d misses@." c.Rlibm.Stats.cache_hits
               c.Rlibm.Stats.cache_misses);
-        (match s.Rlibm.Stats.lp with
-        | None -> ()
-        | Some l ->
-            Format.printf
-              "  lp %s: %d cold solves (%d primal pivots), %d warm solves (%d dual pivots, %d \
-               fallbacks), %d refactorizations@."
-              (if l.lp_warm_mode then "warm" else "cold")
-              l.lp_cold_solves l.lp_primal_pivots l.lp_warm_solves l.lp_dual_pivots
-              l.lp_warm_fallbacks l.lp_refactorizations);
+        Option.iter (Format.printf "%a" Rlibm.Stats.pp_lp) s.Rlibm.Stats.lp;
         match s.Rlibm.Stats.prog with
         | None -> ()
         | Some p -> Format.printf "%a" Rlibm.Stats.pp_prog p

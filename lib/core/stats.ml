@@ -45,15 +45,17 @@ and pass = {
 (* LP kernel counters over one generation run: solve and pivot counts
    from {!Lp.Simplex}, split by entry point (cold = fresh two-phase
    solves, warm = dual-simplex basis repairs, fallbacks = warm repairs
-   that hit the pivot cap and re-ran cold). *)
+   that hit the pivot cap and re-ran cold), plus the wall time spent
+   inside the solver — the "LP solve" layer of generation. *)
 and lp = {
   lp_warm_mode : bool;  (* was Config.lp_warm set for this run *)
   lp_cold_solves : int;
   lp_warm_solves : int;
   lp_primal_pivots : int;
   lp_dual_pivots : int;
-  lp_refactorizations : int;
+  lp_refactorizations : int;  (* structural-block inversions *)
   lp_warm_fallbacks : int;
+  lp_solve_seconds : float;  (* cold + warm, monotonic clock *)
 }
 
 (* Persistent oracle cache traffic during one run (Sweep.Oracle_cache):
@@ -88,6 +90,7 @@ let lp_of_counters ~warm_mode (b : Lp.Simplex.counters) (a : Lp.Simplex.counters
     lp_dual_pivots = a.dual_pivots - b.dual_pivots;
     lp_refactorizations = a.refactorizations - b.refactorizations;
     lp_warm_fallbacks = a.warm_fallbacks - b.warm_fallbacks;
+    lp_solve_seconds = a.solve_seconds -. b.solve_seconds;
   }
 
 let pass_of_run ~name (r : Parallel.stats) =
@@ -111,6 +114,14 @@ let pp_pass fmt p =
     (if p.wall_seconds > 0.0 then p.busy_seconds /. p.wall_seconds else 1.0)
     p.items_per_second
 
+let pp_lp fmt l =
+  Format.fprintf fmt
+    "  lp %s: %d cold solves (%d primal pivots), %d warm solves (%d dual pivots, %d \
+     fallbacks), %d block inversions, %.3fs solving@."
+    (if l.lp_warm_mode then "warm" else "cold")
+    l.lp_cold_solves l.lp_primal_pivots l.lp_warm_solves l.lp_dual_pivots l.lp_warm_fallbacks
+    l.lp_refactorizations l.lp_solve_seconds
+
 let pp fmt t =
   Format.fprintf fmt "%s (%s): %.1fs, %d inputs (%d special), %d reduced@." t.name t.repr_name
     t.gen_seconds t.n_inputs t.n_special t.n_reduced;
@@ -129,15 +140,7 @@ let pp fmt t =
         (if c.cache_hits + c.cache_misses > 0 then
            100.0 *. float_of_int c.cache_hits /. float_of_int (c.cache_hits + c.cache_misses)
          else 0.0));
-  match t.lp with
-  | None -> ()
-  | Some l ->
-      Format.fprintf fmt
-        "  lp %s: %d cold solves (%d primal pivots), %d warm solves (%d dual pivots, %d \
-         fallbacks), %d refactorizations@."
-        (if l.lp_warm_mode then "warm" else "cold")
-        l.lp_cold_solves l.lp_primal_pivots l.lp_warm_solves l.lp_dual_pivots l.lp_warm_fallbacks
-        l.lp_refactorizations
+  Option.iter (pp_lp fmt) t.lp
 
 (* The per-prefix coverage table `generate --prog --stats` prints. *)
 let pp_prog fmt p =

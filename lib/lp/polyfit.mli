@@ -73,8 +73,11 @@ val fit :
     exactly. *)
 val eval_exact : terms:int array -> Rational.t array -> float -> Rational.t
 
-(** Bound on the active-set size before giving up (default 40): past
-    this the exact-rational simplex tableau dominates generation time,
-    and a fit needing that many active constraints rarely checks out
-    against the full set anyway — splitting the domain is cheaper. *)
+(** Bound on the active-set size before giving up (default 40).  The
+    exact simplex's per-pivot work grows with the row count (its
+    length-[m] vectors are Bigint numerators; only the [<= nv]-square
+    structural block is inverted), and a fit needing that many active
+    constraints rarely checks out against the full set anyway —
+    splitting the domain is cheaper.  Raising the bound changes which
+    fits succeed, and so the generated tables. *)
 val max_active : int ref

@@ -1,5 +1,6 @@
 (** Exact rational feasibility solver — revised simplex over a
-    factorized basis, with a warm-startable incremental interface.
+    structural-block factorization, with a warm-startable incremental
+    interface.
 
     This is the LP kernel of the reproduction's SoPlex substitute: the
     paper's `GetCoeffsUsingLP` (§3.4) asks only for *a* feasible point of
@@ -8,20 +9,46 @@
     (Bland's rule, so no cycling); an iteration cap turns pathological
     instances into a clean [Unknown].
 
-    Two entry points share the factorized-basis machinery:
+    Two entry points share the basis machinery:
 
-    - {!feasible} — a one-shot cold solve.  It replays the retained dense
-      two-phase tableau ({!feasible_reference}) pivot for pivot (same
-      column order, same Bland entering choice, same division-free ratio
-      test and tie-breaks), so its answers — including the returned
-      point, not just the verdict — are bit-identical to the reference.
-      Only the data structure changed: a basis factorization replaces
-      the full m x (2n+m+a) tableau update.
+    - {!feasible} — a one-shot cold solve.  It replays the dense
+      two-phase tableau (kept in the test tree as the differential
+      reference) pivot for pivot: same column order, same Bland entering
+      choice, same division-free ratio test and tie-breaks.  Its answers
+      — including the returned point, not just the verdict — are
+      bit-identical to the reference.
     - {!state} / {!solve} — an incremental system that keeps its basis
       across {!add_row} / {!set_rhs} edits and repairs it with a
       dual-simplex pass instead of re-solving from scratch.  Warm solves
       agree with cold solves on the Feasible/Infeasible verdict (both are
-      exact), but may return a different feasible point. *)
+      exact), but may return a different feasible point.
+
+    {2 Block factorization}
+
+    Every basis of these systems holds at most [nv] structural columns
+    ([nv] = the number of variables; [u_j] and [v_j = -u_j] of the cold
+    split are never both basic, and the warm state has only [nv] free
+    structurals).  Every other basic column is a signed unit vector: a
+    slack or an artificial.  With R the rows no unit column covers and
+    M = B[R, J] the k x k block (k <= nv) of the structural basic
+    columns J on those rows, FTRAN solves [M z_J = v_R] and reads each
+    covered row's entry off as [+-(v_i - B[i, J] z_J)]; BTRAN sets
+    [y_i = +-lambda] on covered rows and solves
+    [y_R M = lambda_J - sum_covered y_i B[i, J]].  [M^-1] is rebuilt from
+    scratch at every pivot (at most [nv^3] integer operations, by
+    fraction-free elimination): there is no eta file and no
+    refactorization schedule.  The length-[m] vectors (basic values, the
+    entering column, the duals) are Bigint numerators over one positive
+    common denominator, so pricing and the ratio test are sign tests and
+    cross-multiplications with no gcd; only a returned point is
+    normalized.
+
+    Why the replay holds: every FTRAN, BTRAN, pricing and ratio-test
+    value is the exact tableau entry (up to a positive common factor),
+    whatever factorization computed it, and the pivot rules only look at
+    signs and exact comparisons of those values.  Every choice is
+    therefore the dense tableau's choice, and the returned point is the
+    same canonical rational vector. *)
 
 type outcome =
   | Feasible of Rational.t array  (** a point satisfying every row *)
@@ -30,31 +57,22 @@ type outcome =
 
 (** [feasible ~a ~b] decides [exists x. a x <= b] with [x] free.
     [a] is an [m x n] dense matrix (rows of equal length [n]).
-    Revised simplex; answers replay {!feasible_reference} exactly.
+    Revised simplex; answers replay the dense two-phase tableau exactly.
     @raise Invalid_argument on ragged or empty input. *)
 val feasible : a:Rational.t array array -> b:Rational.t array -> outcome
-
-(** The dense two-phase tableau kernel this module grew out of, retained
-    verbatim as the differential-test reference and ultimate fallback. *)
-val feasible_reference : a:Rational.t array array -> b:Rational.t array -> outcome
 
 (** Pivot cap for a single solve, cold or warm (default 20000). *)
 val max_pivots : int ref
 
-(** Refactorize after this many eta updates to the basis factorization
-    (default 32): bounds both the eta-file application cost and rational
-    entry growth. *)
-val refactor_interval : int ref
-
 (** {1 Warm-started incremental interface}
 
     A {!state} holds rows [a_i x <= b_i] over [nv] free structural
-    variables plus one slack per row, and keeps the current basis (and
-    its factorization) across edits.  {!solve} runs a dual-simplex
-    repair from the current basis: rows appended by {!add_row} and
-    right-hand sides moved by {!set_rhs} each leave the basis valid and
-    usually a handful of pivots from optimal, which is what makes
-    Algorithm 4's grow-and-refine loops cheap. *)
+    variables plus one slack per row, and keeps the current basis across
+    edits.  {!solve} runs a dual-simplex repair from the current basis:
+    rows appended by {!add_row} and right-hand sides moved by {!set_rhs}
+    each leave the basis valid and usually a handful of pivots from
+    optimal, which is what makes Algorithm 4's grow-and-refine loops
+    cheap. *)
 
 type state
 
@@ -65,13 +83,14 @@ val nrows : state -> int
 
 (** [add_row st a b] appends the constraint [a x <= b] and returns its
     row index.  The new row's slack enters the basis, so the previous
-    basis (and factorization) stays valid.  O(m) bookkeeping; no solve.
+    basis stays valid (its block is rebuilt at the next solve).  O(m)
+    bookkeeping; no solve.
     @raise Invalid_argument when [a] has length <> [nv]. *)
 val add_row : state -> Rational.t array -> Rational.t -> int
 
 (** [set_rhs st i b] replaces row [i]'s right-hand side.  Loosening and
-    tightening are both fine; basic values are refreshed lazily at the
-    next {!solve}. *)
+    tightening are both fine; basic values are recomputed by the next
+    {!solve}. *)
 val set_rhs : state -> int -> Rational.t -> unit
 
 (** [drop_rows st ~keep] deletes every row [i] with [keep i = false].
@@ -104,8 +123,13 @@ type counters = {
   mutable warm_solves : int;  (** {!solve} calls *)
   mutable primal_pivots : int;  (** phase-1 pivots in cold solves *)
   mutable dual_pivots : int;  (** repair pivots in warm solves *)
-  mutable refactorizations : int;  (** basis factorizations built *)
+  mutable refactorizations : int;
+      (** structural-block inversions: one per pricing round of a cold
+          solve (each pivot plus the final round), and one per warm repair
+          round or drop-surgery step that follows a basis or row change *)
   mutable warm_fallbacks : int;  (** warm [Unknown]s retried cold *)
+  mutable solve_seconds : float;
+      (** wall time inside {!feasible} and {!solve}, on the monotonic clock *)
 }
 
 val counters : counters

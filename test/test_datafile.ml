@@ -356,6 +356,10 @@ let test_legacy_lift_committed_baselines () =
           close_in ic;
           match D.read ~path with
           | Error msg -> Alcotest.fail (f ^ ": " ^ msg)
+          | Ok _ when contains "\"schema_version\"" raw ->
+              (* A baseline written as schema v1 has nothing to lift: reading
+                 it (checksum included) is the whole check. *)
+              ()
           | Ok t ->
               (* The lift must preserve every metric and its exact value.
                  Grouping by family may reorder keys the old flat files

@@ -112,17 +112,161 @@ let prop_revised_replays_reference =
   QCheck.Test.make ~name:"revised = dense reference (outcome and point)" ~count:300
     QCheck.unit (fun () ->
       let a, b = random_system () in
-      same_outcome (S.feasible ~a ~b) (S.feasible_reference ~a ~b))
+      same_outcome (S.feasible ~a ~b) (Ref_simplex.feasible ~a ~b))
 
-let prop_revised_replays_reference_small_refactor =
-  QCheck.Test.make ~name:"replay holds across refactorization boundaries" ~count:120
-    QCheck.unit (fun () ->
-      let saved = !S.refactor_interval in
-      S.refactor_interval := 1 + Random.State.int st 3;
-      let a, b = random_system () in
-      let ok = same_outcome (S.feasible ~a ~b) (S.feasible_reference ~a ~b) in
-      S.refactor_interval := saved;
-      ok)
+(* Revised and dense reference agree on the outcome, the point and the
+   number of pivots taken. *)
+let replays a b =
+  let p0 = S.counters.primal_pivots in
+  let r = S.feasible ~a ~b in
+  let revised_pivots = S.counters.primal_pivots - p0 in
+  same_outcome r (Ref_simplex.feasible ~a ~b) && revised_pivots = !Ref_simplex.last_pivots
+
+(* ------------------------------------------------------------------ *)
+(* Structural-block edge cases.  The revised kernel inverts only the    *)
+(* k x k block of structural basic columns (k <= nv), so the cases      *)
+(* below drive k and the block's rows through their extremes; each is   *)
+(* compared with the dense reference on outcome, point and pivot count, *)
+(* with zero tolerance.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Structural columns (u_j or v_j) in each basis of the reference's last
+   solve, oldest first. *)
+let struct_trace nv =
+  List.rev_map
+    (fun basis -> Array.fold_left (fun k c -> if c < 2 * nv then k + 1 else k) 0 basis)
+    !Ref_simplex.last_bases
+
+(* Some u_j basic in one basis of the reference's last solve and v_j in
+   a later one, or the other way round. *)
+let uv_alternates nv =
+  let seen = Array.make (2 * nv) false and alternated = ref false in
+  List.iter
+    (fun basis ->
+      Array.iter
+        (fun c ->
+          if c < 2 * nv then begin
+            if seen.((c + nv) mod (2 * nv)) then alternated := true;
+            seen.(c) <- true
+          end)
+        basis)
+    (List.rev !Ref_simplex.last_bases);
+  !alternated
+
+(* Draws systems until [want] of them satisfy [select] (judged on the
+   reference's solve of the system) and checks that each replays.  Fails
+   when [budget] draws yield fewer, so the case cannot go vacuous. *)
+let replay_selected ~name ~want ~budget draw select =
+  let found = ref 0 and tries = ref 0 in
+  while !found < want && !tries < budget do
+    incr tries;
+    let a, b = draw () in
+    ignore (Ref_simplex.feasible ~a ~b);
+    if select () then begin
+      incr found;
+      if not (replays a b) then Alcotest.failf "%s: replay differs on draw %d" name !tries
+    end
+  done;
+  if !found < want then Alcotest.failf "%s: %d of %d cases in %d draws" name !found want budget
+
+(* [nv] variables; with [degenerate], two right-hand sides in three are
+   zero: degenerate vertices, where structurals enter at level 0 and
+   leave again. *)
+let small_system ~degenerate nv () =
+  let m = 2 + Random.State.int st 10 in
+  let a = Array.init m (fun _ -> Array.init nv (fun _ -> q (Random.State.int st 7 - 3))) in
+  let b =
+    Array.init m (fun _ ->
+        if degenerate && Random.State.int st 3 > 0 then Q.zero
+        else Q.of_ints (Random.State.int st 21 - 10) (1 + Random.State.int st 4))
+  in
+  (a, b)
+
+(* k rises from 0 to nv and falls back within one solve.  It cannot
+   return to 0 itself: the only primal-feasible basis without structural
+   columns is the initial one, and Bland's rule never revisits a basis
+   (the warm test below takes k back to 0 through drop_rows). *)
+let test_block_full_and_back () =
+  List.iter
+    (fun nv ->
+      let select () =
+        let rec go = function
+          | [] -> false
+          | k :: rest -> if k = nv then List.exists (fun k' -> k' < nv) rest else go rest
+        in
+        go (struct_trace nv)
+      in
+      replay_selected ~name:(Printf.sprintf "k 0 -> %d -> lower" nv) ~want:8 ~budget:4000
+        (small_system ~degenerate:true nv) select)
+    [ 2; 3; 4; 5 ]
+
+let test_block_uv_alternating () =
+  List.iter
+    (fun nv ->
+      replay_selected ~name:(Printf.sprintf "u/v alternation, nv %d" nv) ~want:8 ~budget:4000
+        (fun () -> small_system ~degenerate:(Random.State.bool st) nv ())
+        (fun () -> uv_alternates nv))
+    [ 2; 3; 4 ]
+
+(* Rows with no structural entry: their slack (or artificial) covers
+   them in every basis, so they never enter the block.  Mixed into
+   systems around a known point, with right-hand sides 0, positive, and
+   (in one case in four) negative, which makes the system infeasible. *)
+let prop_block_zero_rows =
+  QCheck.Test.make ~name:"rows with no structural entry" ~count:150 QCheck.unit (fun () ->
+      let nv = 1 + Random.State.int st 4 in
+      let m = 2 + Random.State.int st 14 in
+      let point = Array.init nv (fun _ -> Q.of_ints (Random.State.int st 41 - 20) (1 + Random.State.int st 7)) in
+      let contradiction = Random.State.int st 4 = 0 in
+      let rows =
+        Array.init m (fun i ->
+            if i mod 3 = 0 then
+              let rhs =
+                if contradiction && i = 0 then Q.of_ints (-1) 3
+                else Q.of_ints (Random.State.int st 3) (1 + Random.State.int st 2)
+              in
+              (Array.make nv Q.zero, rhs)
+            else begin
+              let row = Array.init nv (fun _ -> q (Random.State.int st 11 - 5)) in
+              let v = Array.fold_left Q.add Q.zero (Array.mapi (fun j c -> Q.mul c point.(j)) row) in
+              (row, Q.add v (Q.of_ints (Random.State.int st 3) 2))
+            end)
+      in
+      let a = Array.map fst rows and b = Array.map snd rows in
+      replays a b
+      && if contradiction then S.feasible ~a ~b = S.Infeasible else feasible_point a b (S.feasible ~a ~b))
+
+(* Non-dyadic data: odd denominators, some of them large powers, so
+   every column and right-hand side goes through the general (gcd) path
+   of the common-denominator scaling. *)
+let prop_block_non_dyadic =
+  QCheck.Test.make ~name:"non-dyadic coefficients and bounds" ~count:150 QCheck.unit (fun () ->
+      let nv = 1 + Random.State.int st 4 in
+      let m = 1 + Random.State.int st 20 in
+      let odd () =
+        match Random.State.int st 4 with
+        | 0 -> Bigint.pow (Bigint.of_int 3) (1 + Random.State.int st 30)
+        | _ -> Bigint.of_int ((2 * Random.State.int st 7) + 3)
+      in
+      let frac range = Q.make (Bigint.of_int (Random.State.int st ((2 * range) + 1) - range)) (odd ()) in
+      let a = Array.init m (fun _ -> Array.init nv (fun _ -> frac 9)) in
+      let b = Array.init m (fun _ -> frac 12) in
+      replays a b)
+
+(* Polyfit-shaped tube systems: 64 rows bounding a degree 3..6
+   polynomial around log2 (the bench LP workload's shape, at every
+   degree the shipped term sets use).  The warm state must reach the
+   same verdict. *)
+let test_block_polyfit_tubes () =
+  List.iter
+    (fun degree ->
+      let a, b = lp_system ~degree 64 in
+      if not (replays a b) then Alcotest.failf "degree %d: replay differs" degree;
+      let stt = S.create ~nv:(degree + 1) in
+      Array.iteri (fun i row -> ignore (S.add_row stt row b.(i))) a;
+      if not (same_verdict (S.solve stt) (S.feasible ~a ~b)) then
+        Alcotest.failf "degree %d: warm verdict differs" degree)
+    [ 3; 4; 5; 6 ]
 
 (* Klee-Minty-flavoured degenerate stack: many tight, redundant rows
    around one vertex — the classic cycling trap Bland's rule avoids. *)
@@ -147,7 +291,7 @@ let test_degenerate_cycling_guard () =
   | S.Feasible x -> Array.iter (fun v -> Alcotest.check rational "origin" Q.zero v) x
   | _ -> Alcotest.fail "degenerate system is feasible (origin)");
   Alcotest.(check bool) "matches reference" true
-    (same_outcome (S.feasible ~a ~b) (S.feasible_reference ~a ~b))
+    (same_outcome (S.feasible ~a ~b) (Ref_simplex.feasible ~a ~b))
 
 (* Regression: the original dense kernel initialized the phase-1
    criterion row to the z-row (artificial entries 1) rather than z - c
@@ -159,7 +303,7 @@ let test_degenerate_cycling_guard () =
 let test_artificial_reentry_soundness () =
   let a = [| [| q 0; q (-4); q 0 |]; [| q 0; q 1; q 0 |] |] in
   let b = [| q (-3); Q.of_ints (-2) 3 |] in
-  Alcotest.(check bool) "reference sound" true (S.feasible_reference ~a ~b = S.Infeasible);
+  Alcotest.(check bool) "reference sound" true (Ref_simplex.feasible ~a ~b = S.Infeasible);
   Alcotest.(check bool) "revised sound" true (S.feasible ~a ~b = S.Infeasible);
   let stt = S.create ~nv:3 in
   Array.iteri (fun i row -> ignore (S.add_row stt row b.(i))) a;
@@ -254,6 +398,47 @@ let prop_warm_drop_rows_random =
       let a' = Array.map (fun i -> a.(i)) idx and b' = Array.map (fun i -> b.(i)) idx in
       same_verdict (S.solve stt) (S.feasible ~a:a' ~b:b')
       && same_verdict (S.solve clone) (S.feasible ~a ~b))
+
+(* The warm state's block shrinks to nothing and grows back: solve a
+   system around a point whose coordinates are all nonzero (so every
+   structural ends up basic), drop every row (k = 0, no rows), then
+   re-add the rows in another order and solve again, and finally drop
+   down to fewer rows than variables.  Each solve must agree with a cold
+   solve of the same rows and return a point satisfying them. *)
+let prop_warm_block_empties_and_regrows =
+  QCheck.Test.make ~name:"block empties through drop_rows and regrows" ~count:80 QCheck.unit
+    (fun () ->
+      let nv = 1 + Random.State.int st 4 in
+      let m = nv + 1 + Random.State.int st 10 in
+      let point =
+        Array.init nv (fun _ ->
+            Q.of_ints ((if Random.State.bool st then 1 else -1) * (1 + Random.State.int st 9)) (1 + Random.State.int st 5))
+      in
+      let a = Array.init m (fun _ -> Array.init nv (fun _ -> q (Random.State.int st 9 - 4))) in
+      let b =
+        Array.map
+          (fun row ->
+            let v = Array.fold_left Q.add Q.zero (Array.mapi (fun j c -> Q.mul c point.(j)) row) in
+            Q.add v (Q.of_ints (Random.State.int st 3 - 1) 4))
+          a
+      in
+      let agrees stt a b =
+        let warm = S.solve stt in
+        same_verdict warm (S.feasible ~a ~b)
+        && match warm with S.Feasible _ -> feasible_point a b warm | _ -> true
+      in
+      let stt = warm_of_system a b in
+      let ok1 = agrees stt a b in
+      S.drop_rows stt ~keep:(fun _ -> false);
+      let ok2 = S.nrows stt = 0 && S.solve stt = S.Feasible (Array.make nv Q.zero) in
+      let order = Array.init m (fun i -> m - 1 - i) in
+      Array.iter (fun i -> ignore (S.add_row stt a.(i) b.(i))) order;
+      let a' = Array.map (fun i -> a.(i)) order and b' = Array.map (fun i -> b.(i)) order in
+      let ok3 = agrees stt a' b' in
+      let kept = max 1 (nv - 1) in
+      S.drop_rows stt ~keep:(fun i -> i < kept);
+      let ok4 = agrees stt (Array.sub a' 0 kept) (Array.sub b' 0 kept) in
+      ok1 && ok2 && ok3 && ok4)
 
 (* ------------------------------------------------------------------ *)
 (* Polyfit.                                                            *)
@@ -390,9 +575,16 @@ let () =
           Alcotest.test_case "warm basic" `Quick test_warm_basic;
           Alcotest.test_case "warm drop rows" `Quick test_warm_drop_rows;
         ] );
-      qsuite "simplex-replay"
-        [ prop_revised_replays_reference; prop_revised_replays_reference_small_refactor ];
-      qsuite "simplex-warm" [ prop_warm_equals_cold_grown; prop_warm_drop_rows_random ];
+      qsuite "simplex-replay" [ prop_revised_replays_reference ];
+      ( "simplex-block",
+        [
+          Alcotest.test_case "k rises to nv and falls back" `Quick test_block_full_and_back;
+          Alcotest.test_case "u/v alternating in the basis" `Quick test_block_uv_alternating;
+          Alcotest.test_case "polyfit tubes, 64 rows, degree 3-6" `Quick test_block_polyfit_tubes;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest [ prop_block_zero_rows; prop_block_non_dyadic ] );
+      qsuite "simplex-warm"
+        [ prop_warm_equals_cold_grown; prop_warm_drop_rows_random; prop_warm_block_empties_and_regrows ];
       ( "polyfit",
         [
           Alcotest.test_case "cubic" `Quick test_fit_cubic;

@@ -3,6 +3,9 @@
 module Q = Rational
 module B = Bigint
 
+(* The dense-tableau LP reference the revised simplex replays. *)
+module Ref_simplex = Ref_simplex
+
 (* Deterministic pseudo-random state per suite, so failures reproduce. *)
 let rand seed = Random.State.make [| 0x5EED; seed |]
 
@@ -80,3 +83,25 @@ let bigint = Alcotest.testable B.pp B.equal
 let rational = Alcotest.testable Q.pp Q.equal
 
 let qsuite name cases = (name, List.map QCheck_alcotest.to_alcotest cases)
+
+(* Polyfit-shaped LP: bound a degree-[degree] polynomial (default 4)
+   within a +-1e-4 tube around log2 at quasi-random points of [1,2), one
+   row pair per point.  Points are drawn from a fixed low-discrepancy
+   sequence so [lp_system m] is a prefix of [lp_system m'] for m < m' —
+   bench/main.ml's warm-grow workload relies on appending exactly the
+   rows its cold re-solves see. *)
+let lp_system ?(degree = 4) m =
+  let nt = degree + 1 in
+  let q = Q.of_float in
+  let point i = 1.0 +. Float.rem (float_of_int (i + 1) *. 0.618033988749895) 1.0 in
+  let rows = Array.make m [||] and rhs = Array.make m Q.zero in
+  for i = 0 to (m / 2) - 1 do
+    let r = point i in
+    let pow = Array.init nt (fun k -> Float.pow r (float_of_int k)) in
+    let y = Float.log2 r in
+    rows.(2 * i) <- Array.map q pow;
+    rhs.(2 * i) <- q (y +. 1e-4);
+    rows.((2 * i) + 1) <- Array.map (fun p -> q (-.p)) pow;
+    rhs.((2 * i) + 1) <- q (-.(y -. 1e-4))
+  done;
+  (rows, rhs)
